@@ -66,7 +66,7 @@ int main() {
   }
   if (!gamma_signal.empty()) {
     const auto graph =
-        apps::TransitionGraph::from_column(result.state, gamma_signal);
+        apps::TransitionGraph::from_column(result.state.to_table(), gamma_signal);
     std::printf("\nTransition graph of '%s': %zu states, %zu transitions\n",
                 gamma_signal.c_str(), graph.num_nodes(),
                 graph.num_transitions());
@@ -89,11 +89,11 @@ int main() {
 
   // --- 3. Association rules over a narrow column set ---------------------
   std::vector<std::string> columns = {"t"};
-  for (std::size_t c = 1;
-       c < result.state.schema().size() && columns.size() < 6; ++c) {
-    columns.push_back(result.state.schema().field(c).name);
+  for (const std::string& name : result.state.names()) {
+    if (columns.size() == 6) break;
+    columns.push_back(name);
   }
-  const auto trimmed = dataflow::project(engine, result.state, columns);
+  const auto trimmed = result.state.to_table(columns);
   apps::MinerConfig miner;
   miner.min_support = 0.1;
   miner.min_confidence = 0.9;

@@ -158,7 +158,7 @@ int main() {
   std::printf("K_s rows %zu -> reduced %zu -> state rows %zu\n\n",
               result.ks_rows, result.reduced_rows, result.state.num_rows());
   std::puts("State representation (cf. paper Table 4):");
-  std::cout << result.state.to_display_string(30);
+  std::cout << result.state.to_table().to_display_string(30);
 
   std::puts("\nSequence report:");
   for (const core::SequenceReport& report : result.sequences) {

@@ -110,6 +110,6 @@ int main() {
   std::puts("");
   std::printf("%s\n", core::report_to_text(result).c_str());
   std::puts("state representation around the door event:");
-  std::printf("%s", result.state.to_display_string(12).c_str());
+  std::printf("%s", result.state.to_table().to_display_string(12).c_str());
   return 0;
 }

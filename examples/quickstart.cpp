@@ -70,10 +70,10 @@ int main() {
   }
 
   std::cout << "\nState representation (first rows):\n"
-            << result.state.to_display_string(8);
+            << result.state.to_table().to_display_string(8);
 
   // Results persist like any table:
-  dataflow::write_csv_file(result.state, "quickstart_state.csv");
+  dataflow::write_csv_file(result.state.to_table(), "quickstart_state.csv");
   std::cout << "\nFull state representation written to quickstart_state.csv\n";
   return 0;
 }

@@ -146,15 +146,16 @@ int main() {
 
   std::cout << "Homogenized sequence R_out:\n"
             << result.krep.to_display_string(12) << "\n";
+  const dataflow::Table state = result.state.to_table();
   std::cout << "State representation:\n"
-            << result.state.to_display_string(12) << "\n";
+            << state.to_display_string(12) << "\n";
 
   std::puts("Cycle-time violations found (wpos.cycle_violation column):");
-  const auto& schema = result.state.schema();
+  const auto& schema = state.schema();
   if (schema.contains("wpos.cycle_violation")) {
     const std::size_t col = schema.require("wpos.cycle_violation");
     const std::size_t t_col = schema.require("t");
-    result.state.for_each_row([&](const dataflow::RowView& row) {
+    state.for_each_row([&](const dataflow::RowView& row) {
       if (!row.is_null(col)) {
         std::printf("  t=%.2fs  %s\n",
                     static_cast<double>(row.int64_at(t_col)) / 1e9,

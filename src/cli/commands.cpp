@@ -270,12 +270,29 @@ signaldb::Catalog load_catalog_arg(const Args& args, const char* key) {
   return signaldb::load_catalog(args.require(key));
 }
 
+bool is_csv_path(const std::string& path) {
+  return path.size() >= 4 && path.substr(path.size() - 4) == ".csv";
+}
+
 void write_table_arg(const dataflow::Table& table, const std::string& path) {
-  if (path.size() >= 4 && path.substr(path.size() - 4) == ".csv") {
+  if (is_csv_path(path)) {
     dataflow::write_csv_file(table, path);
   } else {
     dataflow::save_table(table, path);
   }
+}
+
+/// --state sink: CSV straight from the change log (no dense table);
+/// .ivtbl needs the dense columns.
+void write_state_arg(const core::StateLog& state, const std::string& path) {
+  if (!is_csv_path(path)) {
+    dataflow::save_table(state.to_table(), path);
+    return;
+  }
+  std::ofstream out(path, std::ios::binary);
+  if (!out) IVT_THROW(errors::Category::Io, "cannot open for write: " + path);
+  state.write_csv(out);
+  if (!out) IVT_THROW(errors::Category::Io, "write failed: " + path);
 }
 
 void warn_unused(const Args& args) {
@@ -706,7 +723,7 @@ int cmd_run(const Args& args) {
     result.failures = std::move(combined);
   }
 
-  if (state_path) write_table_arg(result.state, *state_path);
+  if (state_path) write_state_arg(result.state, *state_path);
   if (krep_path) write_table_arg(result.krep, *krep_path);
 
   if (report_kind == "json") {
@@ -769,14 +786,14 @@ int cmd_mine(const Args& args) {
   for (const core::SequenceReport& report : result.sequences) {
     if (report.classification.branch == core::Branch::Gamma &&
         report.classification.criteria.z_num > 2 &&
-        result.state.schema().contains(report.s_id)) {
+        result.state.contains(report.s_id)) {
       graph_signal = report.s_id;
       break;
     }
   }
   if (!graph_signal.empty()) {
-    const auto graph =
-        apps::TransitionGraph::from_column(result.state, graph_signal);
+    const auto graph = apps::TransitionGraph::from_column(
+        result.state.to_table({"t", graph_signal}), graph_signal);
     std::printf("\n== rare transitions of '%s' (p <= %.3f) ==\n",
                 graph_signal.c_str(), rare_probability);
     for (const apps::TransitionEdge& edge :
@@ -793,16 +810,18 @@ int cmd_mine(const Args& args) {
     }
   }
 
-  // 3. Association rules over a manageable column subset.
+  // 3. Association rules over a manageable column subset ("t" and the
+  // first five signal columns by default).
   if (rule_columns.empty()) {
-    for (std::size_t c = 0;
-         c < result.state.schema().size() && rule_columns.size() < 6; ++c) {
-      rule_columns.push_back(result.state.schema().field(c).name);
+    rule_columns.push_back("t");
+    for (const std::string& name : result.state.names()) {
+      if (rule_columns.size() == 6) break;
+      rule_columns.push_back(name);
     }
   } else {
     rule_columns.insert(rule_columns.begin(), "t");
   }
-  const auto trimmed = dataflow::project(engine, result.state, rule_columns);
+  const auto trimmed = result.state.to_table(rule_columns);
   apps::MinerConfig miner;
   miner.min_support = min_support;
   miner.min_confidence = min_confidence;
@@ -1106,7 +1125,7 @@ int cmd_coordinator(const Args& args) {
   std::signal(SIGINT, SIG_DFL);
   g_coordinator_instance = nullptr;
 
-  if (state_path) write_table_arg(result.state, *state_path);
+  if (state_path) write_state_arg(result.state, *state_path);
   if (krep_path) write_table_arg(result.krep, *krep_path);
   if (report_kind == "json") {
     std::printf("%s", core::report_to_json(result).c_str());

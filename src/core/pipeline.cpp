@@ -337,8 +337,7 @@ void Pipeline::process_and_merge(dataflow::Engine& engine,
   if (config_.build_state) {
     stage_start = Clock::now();
     OBS_SPAN_V(span, "pipeline.state_repr");
-    result.state =
-        build_state_representation(engine, result.krep, config_.state);
+    result.state = build_state_log(engine, result.krep, config_.state);
     span.set_rows(result.state.num_rows());
     record_stage_time(result.stage_times, "state_repr",
                       elapsed_ns(stage_start));

@@ -157,7 +157,7 @@ struct PipelineResult {
 
   dataflow::Table ks;    ///< only populated when config.keep_ks
   dataflow::Table krep;  ///< R_out: merged homogeneous sequence (incl. W)
-  dataflow::Table state; ///< state representation (empty when disabled)
+  StateLog state;        ///< state representation (empty when disabled)
   std::vector<SequenceReport> sequences;
   std::vector<ChannelCorrespondence> correspondences;
   /// Recovered failures under Skip/Quarantine; empty on a clean run or

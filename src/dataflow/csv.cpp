@@ -12,24 +12,6 @@ namespace ivt::dataflow {
 
 namespace {
 
-bool needs_quoting(const std::string& s, char sep) {
-  return s.find_first_of(std::string{sep, '"', '\n', '\r'}) !=
-         std::string::npos;
-}
-
-void write_cell(std::ostream& out, const std::string& s, char sep) {
-  if (!needs_quoting(s, sep)) {
-    out << s;
-    return;
-  }
-  out << '"';
-  for (char c : s) {
-    if (c == '"') out << '"';
-    out << c;
-  }
-  out << '"';
-}
-
 /// Split one logical CSV record (handles quoted fields; `in` may span
 /// multiple physical lines). Returns false at EOF with no data.
 bool read_record(std::istream& in, char sep, std::vector<std::string>& out) {
@@ -105,10 +87,7 @@ Value parse_cell(const std::string& s, ValueType type, std::size_t line) {
 
 }  // namespace
 
-namespace {
-
-/// Append one cell to the output buffer, quoting when needed.
-void append_cell(std::string& buf, std::string_view s, char sep) {
+void append_csv_cell(std::string& buf, std::string_view s, char sep) {
   if (s.find_first_of(std::string_view("\"\n\r")) == std::string_view::npos &&
       s.find(sep) == std::string_view::npos) {
     buf.append(s);
@@ -122,8 +101,6 @@ void append_cell(std::string& buf, std::string_view s, char sep) {
   buf += '"';
 }
 
-}  // namespace
-
 void write_csv(const Table& table, std::ostream& out,
                const CsvOptions& options) {
   const Schema& schema = table.schema();
@@ -131,7 +108,7 @@ void write_csv(const Table& table, std::ostream& out,
   if (options.header) {
     for (std::size_t c = 0; c < schema.size(); ++c) {
       if (c > 0) buf += options.separator;
-      append_cell(buf, schema.field(c).name, options.separator);
+      append_csv_cell(buf, schema.field(c).name, options.separator);
     }
     buf += '\n';
   }
@@ -158,7 +135,7 @@ void write_csv(const Table& table, std::ostream& out,
                                 col.float64_at(r))));
             break;
           case ValueType::String:
-            append_cell(buf, col.string_at(r), options.separator);
+            append_csv_cell(buf, col.string_at(r), options.separator);
             break;
         }
       }

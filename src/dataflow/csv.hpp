@@ -7,6 +7,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "dataflow/table.hpp"
 
@@ -16,6 +17,11 @@ struct CsvOptions {
   char separator = ',';
   bool header = true;
 };
+
+/// Append one cell to `buf`, quoted (RFC 4180) when it contains the
+/// separator, a quote or a line break. The cell encoder of write_csv,
+/// shared with sinks that render rows without a dense Table.
+void append_csv_cell(std::string& buf, std::string_view s, char sep);
 
 /// Write `table` to `out` in logical row order.
 void write_csv(const Table& table, std::ostream& out,

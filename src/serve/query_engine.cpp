@@ -18,7 +18,6 @@
 #include "core/urel.hpp"
 #include "dataflow/csv.hpp"
 #include "dataflow/engine.hpp"
-#include "dataflow/ops.hpp"
 #include "errors/error.hpp"
 #include "obs/obs.hpp"
 #include "tracefile/trace.hpp"
@@ -288,7 +287,7 @@ QueryResult QueryEngine::op_stats(RequestContext& ctx) {
   // These decay to zero within one window of the load stopping. One `now`
   // for both reads so the count and the quantiles describe the same
   // window.
-  const std::int64_t now_s = obs::steady_now_s();
+  const std::int64_t now_s = accounting_.now_s();
   {
     const obs::Histogram::Data windowed =
         accounting_.latency_window_ms.data_at(now_s);
@@ -462,7 +461,7 @@ std::shared_ptr<const StateEntry> QueryEngine::state_entry(
     built->krep = std::move(result.krep);
   }
   state_cache_.put(key, built,
-                   approx_table_bytes(built->state) +
+                   built->state.approx_bytes() +
                        approx_table_bytes(built->krep));
   return built;
 }
@@ -474,51 +473,43 @@ QueryResult QueryEngine::op_state(RequestContext& ctx) {
   const bool was_hit = state_cache_stats().hits > hits_before;
   ctx.state_cache_hit = was_hit;
 
-  // Slice lazily: the common full-table query serializes straight from
-  // the cached table without copying it.
-  const dataflow::Table* result = &cached->state;
-  dataflow::Table sliced;
+  // Slice by binary search on the time axis and render the selected rows
+  // and columns straight from the cached change log.
+  const core::StateLog& state = cached->state;
+  core::StateLog::RowRange rows{0, state.num_rows()};
+  std::vector<std::string> columns;
   {
     const RequestContext::StageTimer timer(ctx, "slice");
-    dataflow::Engine engine = make_inline_engine();
     if (ctx.has_time_range()) {
-      const std::size_t t_col = result->schema().require("t");
-      const std::int64_t lo = ctx.has_min
-                                  ? ctx.min_t_ns
-                                  : std::numeric_limits<std::int64_t>::min();
-      const std::int64_t hi = ctx.has_max
-                                  ? ctx.max_t_ns
-                                  : std::numeric_limits<std::int64_t>::max();
-      sliced = dataflow::filter(
-          engine, *result,
-          [t_col, lo, hi](const dataflow::RowView& row) {
-            if (row.is_null(t_col)) return false;
-            const std::int64_t t = row.int64_at(t_col);
-            return t >= lo && t <= hi;
-          },
-          "serve.state_slice");
-      result = &sliced;
+      rows = state.rows_between(
+          ctx.has_min ? ctx.min_t_ns
+                      : std::numeric_limits<std::int64_t>::min(),
+          ctx.has_max ? ctx.max_t_ns
+                      : std::numeric_limits<std::int64_t>::max());
     }
-    if (!ctx.signals.empty()) {
-      // Project "t" plus the requested signals that actually appear in
-      // the representation (a signal with no instances grows no column).
-      std::vector<std::string> columns{"t"};
+    if (ctx.signals.empty()) {
+      columns = state.all_columns();
+    } else {
+      // "t" plus the requested signals that actually appear in the
+      // representation (a signal with no instances grows no column).
+      columns.emplace_back("t");
       for (const std::string& s : ctx.signals) {
-        if (result->schema().contains(s)) columns.push_back(s);
+        if (state.contains(s)) columns.push_back(s);
       }
-      sliced = dataflow::project(engine, *result, columns);
-      result = &sliced;
     }
   }
   std::string payload;
   {
     const RequestContext::StageTimer timer(ctx, "serialize");
-    payload = render_csv(*result);
+    std::ostringstream out;
+    state.write_csv(out, columns, rows);
+    payload = std::move(out).str();
   }
-  ctx.rows = result->num_rows();
+  const std::size_t row_count = rows.end - rows.begin;
+  ctx.rows = row_count;
   json::Object body = ctx.base();
-  body.add("rows", static_cast<std::uint64_t>(result->num_rows()))
-      .add("columns", static_cast<std::uint64_t>(result->schema().size()))
+  body.add("rows", static_cast<std::uint64_t>(row_count))
+      .add("columns", static_cast<std::uint64_t>(columns.size()))
       .add("cached", was_hit)
       .add("payload_format", "csv");
   return ctx.finish(body, std::move(payload));

@@ -29,8 +29,9 @@
 // Cache tiers:
 //   tier 1 ("serve.chunk_cache"): compressed chunk extents, keyed
 //     (trace, chunk index). Hits skip the pread; decode still runs.
-//   tier 2 ("serve.state_cache"): materialized state representations
-//     (state + K_rep tables), keyed (trace, signal set, rate threshold).
+//   tier 2 ("serve.state_cache"): state representations (the change
+//     log, core::StateLog) + K_rep tables, keyed (trace, signal set,
+//     rate threshold).
 //     Hits skip scan, decode and the whole pipeline — repeated state and
 //     mine queries settle here, which is what makes the warm-path
 //     "serve.chunks_decoded" counter go flat.
@@ -42,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/state_repr.hpp"
 #include "dataflow/table.hpp"
 #include "obs/trace_context.hpp"
 #include "obs/window.hpp"
@@ -70,7 +72,7 @@ struct QueryEngineConfig {
 
 /// Tier-2 entry: pipeline output worth re-slicing.
 struct StateEntry {
-  dataflow::Table state;
+  core::StateLog state;
   dataflow::Table krep;
 };
 
@@ -98,13 +100,22 @@ struct RequestAccounting {
   obs::RollingCounter requests_window;
   obs::RollingHistogram latency_window_ms;
 
+  /// Seconds clock of the rolling views: obs::steady_now_s in production;
+  /// tests store a fake here to step whole windows without sleeping.
+  using SecondsClock = std::int64_t (*)() noexcept;
+  std::atomic<SecondsClock> clock{&obs::steady_now_s};
+  [[nodiscard]] std::int64_t now_s() const noexcept {
+    return clock.load(std::memory_order_relaxed)();
+  }
+
   /// One finished request: bump the lifetime count and feed both latency
   /// views (lifetime histogram + decaying window).
   void record_request(double elapsed_ms) noexcept {
+    const std::int64_t now = now_s();
     requests_total.fetch_add(1, std::memory_order_relaxed);
     latency_ms.record(elapsed_ms);
-    requests_window.add(1);
-    latency_window_ms.record(elapsed_ms);
+    requests_window.add_at(now, 1);
+    latency_window_ms.record_at(now, elapsed_ms);
   }
 };
 

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -232,6 +233,10 @@ void Server::accept_loop() {
       continue;
     }
     OBS_COUNT("serve.connections_total", 1);
+    // Responses go out as soon as they are written, not after the peer's
+    // delayed ACK (best-effort, like the client's socket options).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const support::MutexLock lock(mutex_);
     if (stopping_.load(std::memory_order_acquire)) {
       ::close(fd);

@@ -199,7 +199,7 @@ inline ::testing::AssertionResult outcomes_equivalent(
   }
   if (auto t = tables_identical(rb.ks, rs.ks, "K_s"); !t) return t;
   if (auto t = tables_identical(rb.krep, rs.krep, "K_rep"); !t) return t;
-  if (auto t = tables_identical(rb.state, rs.state, "state"); !t) return t;
+  if (auto t = tables_identical(rb.state.to_table(), rs.state.to_table(), "state"); !t) return t;
   return ::testing::AssertionSuccess();
 }
 

@@ -142,7 +142,7 @@ TEST_F(PipelineConfigTest, StateOptionsRespected) {
   const Pipeline pipeline(catalog_, config);
   const auto result =
       pipeline.run(engine_, tracefile::to_kb_table(repetitive_trace(), 4));
-  EXPECT_FALSE(result.state.schema().contains("wpos.gap"));
+  EXPECT_FALSE(result.state.contains("wpos.gap"));
 }
 
 }  // namespace

@@ -105,9 +105,9 @@ TEST_F(PipelineTest, StateColumnsCoverSignals) {
   const Pipeline pipeline(catalog_, config);
   const auto kb = tracefile::to_kb_table(rich_trace(), 4);
   const PipelineResult result = pipeline.run(engine_, kb);
-  EXPECT_TRUE(result.state.schema().contains("wpos"));
-  EXPECT_TRUE(result.state.schema().contains("heat"));
-  EXPECT_TRUE(result.state.schema().contains("belt"));
+  EXPECT_TRUE(result.state.contains("wpos"));
+  EXPECT_TRUE(result.state.contains("heat"));
+  EXPECT_TRUE(result.state.contains("belt"));
 }
 
 TEST_F(PipelineTest, KeepKsStoresTable) {
@@ -159,7 +159,8 @@ TEST_F(PipelineTest, DeterministicAcrossWorkerCounts) {
   const PipelineResult a = pipeline.run(one, kb);
   const PipelineResult b = pipeline.run(many, kb);
   EXPECT_EQ(a.krep.collect_rows(), b.krep.collect_rows());
-  EXPECT_EQ(a.state.collect_rows(), b.state.collect_rows());
+  EXPECT_EQ(a.state.to_table().collect_rows(),
+            b.state.to_table().collect_rows());
 }
 
 TEST_F(PipelineTest, GatewayDuplicatesDeduplicated) {

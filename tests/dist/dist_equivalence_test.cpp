@@ -174,6 +174,12 @@ TEST_P(DistEquivalenceTest, SeededFailuresRecoverByteIdentical) {
     dcfg.nodes = 4;
     dcfg.failure_rate = 0.05;
     dcfg.seed = seed;
+    // No speculation: a live idle worker would otherwise finish the dead
+    // node's range before three missed heartbeats (150 ms) declare the
+    // death, and whether it does is a race with request latency. Without
+    // it, death -> re-assign is the only way the job can finish, as in
+    // the CI kill -9 smoke.
+    dcfg.speculate_min_age = 0;
     const testdiff::RunOutcome dist =
         run_dist_outcome(reader, base_config(), dcfg);
     ASSERT_TRUE(testdiff::outcomes_equivalent(batch, dist));

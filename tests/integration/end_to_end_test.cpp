@@ -162,24 +162,24 @@ TEST_F(EndToEndTest, ApplicationsRunOnPipelineOutput) {
   std::string gamma_sid;
   for (const auto& report : result.sequences) {
     if (report.classification.branch == core::Branch::Gamma &&
-        result.state.schema().contains(report.s_id)) {
+        result.state.contains(report.s_id)) {
       gamma_sid = report.s_id;
       break;
     }
   }
   ASSERT_FALSE(gamma_sid.empty());
   const auto graph =
-      apps::TransitionGraph::from_column(result.state, gamma_sid);
+      apps::TransitionGraph::from_column(result.state.to_table(), gamma_sid);
   EXPECT_GT(graph.num_transitions(), 0u);
 
   // Association rules over a trimmed state table (first 6 columns to keep
   // Apriori cheap).
-  std::vector<std::string> cols;
-  for (std::size_t c = 0; c < std::min<std::size_t>(6, result.state.schema().size());
-       ++c) {
-    cols.push_back(result.state.schema().field(c).name);
+  std::vector<std::string> cols = {"t"};
+  for (const std::string& name : result.state.names()) {
+    if (cols.size() == 6) break;
+    cols.push_back(name);
   }
-  const auto trimmed = dataflow::project(engine_, result.state, cols);
+  const auto trimmed = result.state.to_table(cols);
   apps::MinerConfig miner;
   miner.min_support = 0.2;
   miner.min_confidence = 0.8;
@@ -202,7 +202,8 @@ TEST_F(EndToEndTest, DeterministicEndToEnd) {
   const auto ra = pa.run(engine_, tracefile::to_kb_table(a.trace, 8));
   const auto rb = pb.run(engine_, tracefile::to_kb_table(b.trace, 8));
   EXPECT_EQ(ra.krep.collect_rows(), rb.krep.collect_rows());
-  EXPECT_EQ(ra.state.collect_rows(), rb.state.collect_rows());
+  EXPECT_EQ(ra.state.to_table().collect_rows(),
+            rb.state.to_table().collect_rows());
 }
 
 }  // namespace

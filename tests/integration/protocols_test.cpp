@@ -213,7 +213,7 @@ TEST(ProtocolsIntegrationTest, AllProtocolsFlowThroughThePipeline) {
   // State table has a column per signal.
   for (const char* name :
        {"can_speed", "fd_torque", "lin_level", "sip_opt", "fr_flag"}) {
-    EXPECT_TRUE(result.state.schema().contains(name)) << name;
+    EXPECT_TRUE(result.state.contains(name)) << name;
   }
 }
 

@@ -107,8 +107,9 @@ TEST_P(PipelinePropertyTest, KrepElementsAreWellFormed) {
 TEST_P(PipelinePropertyTest, StateTimesAreNonDecreasing) {
   const auto& p = prepared_for(GetParam());
   std::int64_t last = std::numeric_limits<std::int64_t>::min();
-  const std::size_t t_col = p.result.state.schema().require("t");
-  p.result.state.for_each_row([&](const dataflow::RowView& row) {
+  const dataflow::Table state = p.result.state.to_table();
+  const std::size_t t_col = state.schema().require("t");
+  state.for_each_row([&](const dataflow::RowView& row) {
     EXPECT_GE(row.int64_at(t_col), last);
     last = row.int64_at(t_col);
   });
@@ -116,7 +117,7 @@ TEST_P(PipelinePropertyTest, StateTimesAreNonDecreasing) {
 
 TEST_P(PipelinePropertyTest, StateColumnsNeverRevertToNull) {
   const auto& p = prepared_for(GetParam());
-  const auto& state = p.result.state;
+  const dataflow::Table state = p.result.state.to_table();
   // Forward fill: once a non-extension column is set it stays set.
   std::vector<bool> seen(state.schema().size(), false);
   std::vector<bool> is_extension(state.schema().size(), false);

@@ -4,7 +4,7 @@
 // Prometheus metrics op.
 //
 // Every server in this binary uses stats_window_s = 1: a 1 s window
-// lets the decay test sleep seconds, not minutes — and the *registry
+// lets the decay test step its fake clock by seconds — and the *registry
 // mirrors* ("serve.requests_window" etc., behind the metrics op) fix
 // their width at first registration, so the whole process must agree
 // for the window="1s" Prometheus label to hold.
@@ -12,12 +12,11 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "colstore/columnar_writer.hpp"
@@ -163,8 +162,15 @@ TEST_F(ServerObsTest, ErrorResponsesEchoTheTraceId) {
             obs::trace_id_hex(ctx.trace_id));
 }
 
+/// The rolling views' clock in StatsReportWindowedLatencyThatDecays: the
+/// test moves it, so the pings and the stats calls fall in the seconds
+/// the test intends, whatever the wall clock does.
+std::atomic<std::int64_t> g_fake_now_s{1000};
+std::int64_t fake_now_s() noexcept { return g_fake_now_s.load(); }
+
 TEST_F(ServerObsTest, StatsReportWindowedLatencyThatDecays) {
   auto server = make_server();
+  server->query_engine().accounting().clock.store(&fake_now_s);
   Client client(server->host(), server->port());
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(client.request(R"({"op":"ping"})").ok());
@@ -185,7 +191,7 @@ TEST_F(ServerObsTest, StatsReportWindowedLatencyThatDecays) {
 
   // One window (1 s) after the load stops, the windowed view is empty —
   // while the lifetime histogram of course still remembers everything.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2500));
+  g_fake_now_s += 2;
   const ClientResponse cold = client.request(R"({"op":"stats"})");
   ASSERT_TRUE(cold.ok());
   const json::Value* decayed = cold.body.find("latency_windowed");

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -110,6 +111,21 @@ TEST_F(ServerTest, PingListAndStats) {
   ASSERT_NE(stats.body.find("latency"), nullptr);
 }
 
+TEST_F(ServerTest, SequentialRequestsDoNotWaitForDelayedAcks) {
+  // A frame written in pieces on a Nagle socket waits for the peer's
+  // delayed ACK (~40 ms) before its tail leaves; 50 round trips would
+  // then take over 2 s. One send per frame plus TCP_NODELAY keeps each
+  // round trip at loopback latency.
+  const auto server = make_server();
+  Client client(server->host(), server->port());
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(client.request(R"({"op":"ping"})").ok());
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
 TEST_F(ServerTest, StateMatchesBatchPipeline) {
   const auto server = make_server();
   Client client(server->host(), server->port());
@@ -126,7 +142,7 @@ TEST_F(ServerTest, StateMatchesBatchPipeline) {
       reader.scan({}, engine, colstore::ScanOptions{});
   const core::Pipeline pipeline(dataset_->catalog, core::PipelineConfig{});
   const core::PipelineResult batch = pipeline.run(engine, kb);
-  EXPECT_EQ(served.payload, render_csv(batch.state));
+  EXPECT_EQ(served.payload, render_csv(batch.state.to_table()));
 }
 
 TEST_F(ServerTest, ExtractMatchesBatchInterpret) {
